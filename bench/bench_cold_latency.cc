@@ -175,25 +175,20 @@ main()
             Clock::time_point start = Clock::now();
             dvfs::PreparedWorkload prepared =
                 pipeline.prepare(eval_set[at]);
-            power::PowerModel power_model(prepared.constants, table);
-            dvfs::StageEvaluator evaluator(prepared.prep.stages,
-                                           prepared.perf_models,
-                                           power_model,
-                                           prepared.op_power, table);
+            dvfs::StageEvaluator evaluator = prepared.evaluator(table);
             std::vector<tune::StageSample> rows = tune::extractStageRows(
                 eval_set[at], chip, kLossTarget, prepared.prep);
             tune::PredictedStrategy predicted = tune::predictStrategy(
                 *surrogate, rows, evaluator, kLossTarget);
 
             tune::IncrementalFitness fitness(evaluator);
-            dvfs::GaOptions ga_options = pipeline_options.ga;
-            ga_options.perf_loss_target = kLossTarget;
-            ga_options.seed = kSeed * 7 + 13; // the pipeline derivation
-            ga_options.generations = kFullGenerations / 2;
-            ga_options.prior_individuals.push_back(predicted.mhz);
-            ga_options.fitness_backend = &fitness;
-            dvfs::GaResult seeded = dvfs::searchStrategy(
-                evaluator, prepared.prep.stages, ga_options);
+            dvfs::PipelineOptions seeded_options = pipeline_options;
+            seeded_options.ga.generations = kFullGenerations / 2;
+            seeded_options.ga.prior_individuals.push_back(predicted.mhz);
+            seeded_options.ga.fitness_backend = &fitness;
+            dvfs::GaResult seeded = dvfs::EnergyPipeline(seeded_options)
+                                        .search(prepared, evaluator)
+                                        .ga;
             seeded_ms.push_back(millisSince(start));
             seeded_ratio_min = std::min(
                 seeded_ratio_min, seeded.best_score / cold_score[at]);

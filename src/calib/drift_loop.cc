@@ -128,11 +128,13 @@ runDriftLoop(const npu::NpuConfig &chip_config,
 
     // Warm-up repetitions (unmeasured, plain SetFreqs) bring the die
     // to thermal steady state before residuals are scored.
+    profiler.setRecording(false);
     while (ticksToSeconds(simulator.now()) < options.run.warmup_seconds) {
         enqueueIteration(chip, workload, trigger_map,
                          /*guard_set_freqs=*/false, options.guard, stats);
         simulator.run();
     }
+    profiler.setRecording(true);
 
     DriftLoopResult result;
     double max_mhz = chip.freqTable().maxMhz();

@@ -1,24 +1,33 @@
 #include "common/random.h"
 
-#include <numeric>
+#include <algorithm>
 
 namespace opdvfs {
 
-std::size_t
-Rng::weightedIndex(const std::vector<double> &weights)
+WeightedSampler::WeightedSampler(const std::vector<double> &weights)
 {
-    double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-    if (total <= 0.0)
-        return index(weights.size());
-
-    double r = uniform(0.0, total);
+    prefix_.reserve(weights.size());
     double acc = 0.0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        acc += weights[i];
-        if (r < acc)
-            return i;
+    for (double w : weights) {
+        acc += w;
+        prefix_.push_back(acc);
     }
-    return weights.size() - 1;
+}
+
+std::size_t
+WeightedSampler::draw(Rng &rng) const
+{
+    double total = prefix_.empty() ? 0.0 : prefix_.back();
+    if (total <= 0.0)
+        return rng.index(prefix_.size());
+
+    // The first index whose running sum exceeds r: the prefix sums
+    // never decrease, so this is where a linear scan would stop.
+    double r = rng.uniform(0.0, total);
+    auto it = std::upper_bound(prefix_.begin(), prefix_.end(), r);
+    if (it == prefix_.end())
+        return prefix_.size() - 1;
+    return static_cast<std::size_t>(it - prefix_.begin());
 }
 
 } // namespace opdvfs

@@ -73,13 +73,6 @@ class Rng
         return std::bernoulli_distribution(p)(engine_);
     }
 
-    /**
-     * Sample an index in [0, weights.size()) with probability
-     * proportional to the (non-negative) weights.  If all weights are
-     * zero, samples uniformly.
-     */
-    std::size_t weightedIndex(const std::vector<double> &weights);
-
     /** Derive an independent child RNG; advances this generator. */
     Rng
     fork()
@@ -92,6 +85,31 @@ class Rng
 
   private:
     std::mt19937_64 engine_;
+};
+
+/**
+ * Score-proportional sampling from a fixed weight vector.  The prefix
+ * sums are accumulated once, serially in index order; each draw is a
+ * binary search over them.  A draw returns the same index and consumes
+ * the same RNG output as a linear cumulative scan of the weights, so
+ * drawing many indices from one vector (GA parent selection) costs
+ * O(log n) each instead of O(n).
+ */
+class WeightedSampler
+{
+  public:
+    /** @p weights must be non-negative. */
+    explicit WeightedSampler(const std::vector<double> &weights);
+
+    /**
+     * Index in [0, weights.size()) with probability proportional to
+     * its weight; uniform when all weights are zero.
+     */
+    std::size_t draw(Rng &rng) const;
+
+  private:
+    /** prefix_[i] = weights[0] + ... + weights[i], summed in order. */
+    std::vector<double> prefix_;
 };
 
 } // namespace opdvfs

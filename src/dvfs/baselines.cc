@@ -115,9 +115,10 @@ searchModelFree(const trace::WorkloadRunner &runner,
             // Breed the next generation from what has been measured.
             std::vector<Genome> next;
             next.push_back(result.best_mhz); // elitism
+            WeightedSampler parents(scores);
             while (next.size() < population.size()) {
-                Genome a = population[rng.weightedIndex(scores)];
-                Genome b = population[rng.weightedIndex(scores)];
+                Genome a = population[parents.draw(rng)];
+                Genome b = population[parents.draw(rng)];
                 if (n > 1 && rng.chance(options.crossover_rate)) {
                     std::size_t k = rng.index(n - 1) + 1;
                     for (std::size_t s = n - k; s < n; ++s)

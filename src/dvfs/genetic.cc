@@ -59,6 +59,12 @@ strategyScore(const StrategyEvaluation &eval, double perf_lower_bound)
     return per >= perf_lower_bound ? 2.0 * score : score;
 }
 
+double
+perfLowerBound(const StrategyEvaluation &baseline, double perf_loss_target)
+{
+    return 1e-6 / baseline.seconds * (1.0 - perf_loss_target);
+}
+
 GaResult
 searchStrategy(const StageEvaluator &evaluator,
                const std::vector<Stage> &stages, const GaOptions &options)
@@ -75,8 +81,8 @@ searchStrategy(const StageEvaluator &evaluator,
 
     GaResult result;
     result.baseline_eval = evaluator.evaluateBaseline();
-    double per_baseline = 1e-6 / result.baseline_eval.seconds;
-    double per_lb = per_baseline * (1.0 - options.perf_loss_target);
+    double per_lb =
+        perfLowerBound(result.baseline_eval, options.perf_loss_target);
 
     using Genome = std::vector<std::uint8_t>;
 
@@ -183,9 +189,10 @@ searchStrategy(const StageEvaluator &evaluator,
             next_lineage.push_back(GenomeLineage{slot, {}});
         }
 
+        WeightedSampler parents(scores);
         while (next.size() < population.size()) {
-            std::size_t ia = rng.weightedIndex(scores);
-            std::size_t ib = rng.weightedIndex(scores);
+            std::size_t ia = parents.draw(rng);
+            std::size_t ib = parents.draw(rng);
             Genome a = population[ia];
             Genome b = population[ib];
             GenomeLineage la{ia, {}};

@@ -174,6 +174,11 @@ struct GaResult
 /** Eq. 17 score of an evaluation against the baseline bound. */
 double strategyScore(const StrategyEvaluation &eval, double perf_lower_bound);
 
+/** Eq. 17's performance lower bound: the baseline's iterations per
+ *  microsecond, less the allowed relative loss. */
+double perfLowerBound(const StrategyEvaluation &baseline,
+                      double perf_loss_target);
+
 /** Run the search. */
 GaResult searchStrategy(const StageEvaluator &evaluator,
                         const std::vector<Stage> &stages,

@@ -330,11 +330,13 @@ runGuarded(const npu::NpuConfig &chip_config,
     GuardStats &stats = guard.mutableStats();
 
     // Warm-up repetitions (unmeasured, plain SetFreqs).
+    profiler.setRecording(false);
     while (ticksToSeconds(simulator.now()) < options.run.warmup_seconds) {
         enqueueIteration(chip, workload, trigger_map,
                          /*guard_set_freqs=*/false, options.guard, stats);
         simulator.run();
     }
+    profiler.setRecording(true);
 
     GuardedRunResult result;
     result.baseline_seconds = baseline_seconds;

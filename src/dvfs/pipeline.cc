@@ -37,6 +37,14 @@ PipelineResult::strategy() const
     return out;
 }
 
+StageEvaluator
+PreparedWorkload::evaluator(const npu::FreqTable &table) const
+{
+    power::PowerModel power_model(constants, table);
+    return StageEvaluator(prep.stages, perf_models, power_model, op_power,
+                          table);
+}
+
 PreparedWorkload
 EnergyPipeline::prepare(const models::Workload &workload) const
 {
@@ -51,29 +59,39 @@ EnergyPipeline::prepare(const models::Workload &workload) const
     power::PowerModel power_model(prepared.constants, table);
 
     // --- profiling runs at the model-building frequencies ----------------
-    if (options_.profile_freqs_mhz.size() < 2)
+    const std::vector<double> &freqs = options_.profile_freqs_mhz;
+    if (freqs.size() < 2)
         throw std::invalid_argument("EnergyPipeline: need >= 2 profile "
                                     "frequencies");
 
-    perf::PerfModelRepository perf_repo;
-    power::OnlinePowerCalibrator online(power_model);
-
-    double max_profile_freq = *std::max_element(
-        options_.profile_freqs_mhz.begin(), options_.profile_freqs_mhz.end());
-
-    for (double f : options_.profile_freqs_mhz) {
+    // Each run owns its simulator and noise streams, so the runs are
+    // independent and may execute concurrently.
+    std::vector<trace::RunResult> runs(freqs.size());
+    auto profile = [&](std::size_t i) {
         trace::RunOptions run_options;
-        run_options.initial_mhz = f;
+        run_options.initial_mhz = freqs[i];
         run_options.warmup_seconds = options_.warmup_seconds;
         run_options.sample_period = options_.profile_sample_period;
         run_options.seed =
-            options_.seed * 31 + static_cast<std::uint64_t>(f);
-        trace::RunResult run = runner.run(workload, run_options);
+            options_.seed * 31 + static_cast<std::uint64_t>(freqs[i]);
+        runs[i] = runner.run(workload, run_options);
+    };
+    if (options_.ga.parallel_for) {
+        options_.ga.parallel_for(freqs.size(), profile);
+    } else {
+        for (std::size_t i = 0; i < freqs.size(); ++i)
+            profile(i);
+    }
 
-        perf_repo.addProfile(f, run.records);
-        online.addRun(run);
-        if (f == max_profile_freq)
-            prepared.baseline = run;
+    // Fold the runs into the models serially, in configured order.
+    perf::PerfModelRepository perf_repo;
+    power::OnlinePowerCalibrator online(power_model);
+    double max_profile_freq = *std::max_element(freqs.begin(), freqs.end());
+    for (std::size_t i = 0; i < freqs.size(); ++i) {
+        perf_repo.addProfile(freqs[i], runs[i].records);
+        online.addRun(runs[i]);
+        if (freqs[i] == max_profile_freq)
+            prepared.baseline = std::move(runs[i]);
     }
 
     perf::PerfBuildOptions perf_options;
@@ -89,40 +107,53 @@ EnergyPipeline::prepare(const models::Workload &workload) const
     return prepared;
 }
 
+SearchResult
+EnergyPipeline::search(const PreparedWorkload &prepared) const
+{
+    return search(prepared,
+                  prepared.evaluator(npu::FreqTable(options_.chip.freq)));
+}
+
+SearchResult
+EnergyPipeline::search(const PreparedWorkload &prepared,
+                       const StageEvaluator &evaluator) const
+{
+    // --- genetic strategy search (Sect. 6.3) ------------------------------
+    GaOptions ga_options = options_.ga;
+    ga_options.perf_loss_target = options_.perf_loss_target;
+    ga_options.seed =
+        options_.ga_seed ? *options_.ga_seed : options_.seed * 7 + 13;
+
+    SearchResult found;
+    found.ga = searchStrategy(evaluator, prepared.prep.stages, ga_options);
+    found.plan = planExecution(prepared.prep.stages, found.ga.best_mhz,
+                               prepared.baseline.records,
+                               options_.executor);
+    return found;
+}
+
 PipelineResult
 EnergyPipeline::optimize(const models::Workload &workload) const
 {
-    PipelineResult result;
-    npu::FreqTable table(options_.chip.freq);
-    trace::WorkloadRunner runner(options_.chip);
-
     PreparedWorkload prepared = prepare(workload);
+    SearchResult found = search(prepared);
+
+    PipelineResult result;
     result.constants = prepared.constants;
     result.baseline = std::move(prepared.baseline);
     result.perf_models = std::move(prepared.perf_models);
     result.op_power = std::move(prepared.op_power);
     result.prep = std::move(prepared.prep);
-
-    power::PowerModel power_model(result.constants, table);
-
-    // --- genetic strategy search (Sect. 6.3) ------------------------------
-    StageEvaluator evaluator(result.prep.stages, result.perf_models,
-                             power_model, result.op_power, table);
-    GaOptions ga_options = options_.ga;
-    ga_options.perf_loss_target = options_.perf_loss_target;
-    ga_options.seed =
-        options_.ga_seed ? *options_.ga_seed : options_.seed * 7 + 13;
-    result.ga = searchStrategy(evaluator, result.prep.stages, ga_options);
+    result.ga = std::move(found.ga);
+    result.plan = std::move(found.plan);
 
     // --- execute the strategy (Sect. 7.1) ---------------------------------
-    result.plan = planExecution(result.prep.stages, result.ga.best_mhz,
-                                result.baseline.records, options_.executor);
-
     trace::RunOptions dvfs_options;
     dvfs_options.initial_mhz = result.plan.initial_mhz;
     dvfs_options.warmup_seconds = options_.warmup_seconds;
     dvfs_options.seed = options_.seed * 131 + 7;
-    result.dvfs = runner.run(workload, dvfs_options, result.plan.triggers);
+    result.dvfs = trace::WorkloadRunner(options_.chip)
+                      .run(workload, dvfs_options, result.plan.triggers);
 
     // --- optional guarded assessment (faults honoured) --------------------
     if (options_.assess_guarded) {

@@ -44,6 +44,8 @@ struct PipelineOptions
      * the search seed is derived from `seed` below unless `ga_seed`
      * pins it explicitly (seed-forwarding audit: a request-supplied
      * seed reproduces the same GaResult through every path).
+     * `ga.parallel_for`, when set, also runs prepare()'s profiling
+     * runs concurrently.
      */
     GaOptions ga;
     /** When set, the GA uses exactly this seed instead of the
@@ -87,6 +89,17 @@ struct PreparedWorkload
     perf::PerfModelRepository perf_models;
     std::unordered_map<std::uint64_t, power::OpPowerModel> op_power;
     PreprocessResult prep;
+
+    /** The model-based stage evaluator the strategy search scores
+     *  genomes with. */
+    StageEvaluator evaluator(const npu::FreqTable &table) const;
+};
+
+/** The search half's output: the strategy and how to execute it. */
+struct SearchResult
+{
+    GaResult ga;
+    ExecutionPlan plan;
 };
 
 /** Everything the pipeline produced. */
@@ -131,18 +144,38 @@ class EnergyPipeline
         : options_(std::move(options))
     {}
 
-    /** Optimise one workload end to end. */
+    /**
+     * Optimise one workload end to end: prepare(), search(), then a
+     * measured run of the plan (and the guarded assessment when
+     * `assess_guarded`).  The measured run only reports; the served
+     * cold path calls prepare() and search() and skips it.
+     */
     PipelineResult optimize(const models::Workload &workload) const;
 
     /**
      * Run only the profile-and-model half: calibrate, profile at the
      * configured frequencies, fit performance/power models and
-     * preprocess into candidate stages.  optimize() is exactly
-     * prepare() followed by the search and execution half, so results
-     * derived from a PreparedWorkload are bit-consistent with the
-     * full pipeline under the same options and seed.
+     * preprocess into candidate stages.  The profiling runs go
+     * through `ga.parallel_for` when one is injected and are folded
+     * into the models in `profile_freqs_mhz` order, so the result is
+     * the same under any thread count.
      */
     PreparedWorkload prepare(const models::Workload &workload) const;
+
+    /**
+     * The search half: GA strategy search over the prepared stages
+     * and the execution plan of its best genome.  The GA seed is
+     * derived here from `seed` (or pinned by `ga_seed`); every caller
+     * — optimize(), the serving layer's cold and refine paths — gets
+     * it from this one place.
+     */
+    SearchResult search(const PreparedWorkload &prepared) const;
+
+    /** search() scoring with @p evaluator, which must be
+     *  prepared.evaluator() over this pipeline's frequency table —
+     *  for callers that also hand it to a fitness backend. */
+    SearchResult search(const PreparedWorkload &prepared,
+                        const StageEvaluator &evaluator) const;
 
     const PipelineOptions &options() const { return options_; }
 

@@ -220,4 +220,25 @@ AicoreTimeline::ratios(double f_mhz) const
     return out;
 }
 
+unsigned
+AicoreTimeline::activePipes() const
+{
+    if (params_.category != OpCategory::Compute)
+        return 0;
+    unsigned mask = 0;
+    if (ld_.floor_cycles > 0.0)
+        mask |= kPipeMte2;
+    if (st_.floor_cycles > 0.0)
+        mask |= kPipeMte3;
+    if (params_.core_cycles > 0.0) {
+        switch (params_.core_pipe) {
+          case CorePipe::Cube:   mask |= kPipeCube; break;
+          case CorePipe::Vector: mask |= kPipeVector; break;
+          case CorePipe::Scalar: mask |= kPipeScalar; break;
+          case CorePipe::Mte1:   mask |= kPipeMte1; break;
+        }
+    }
+    return mask;
+}
+
 } // namespace opdvfs::npu

@@ -39,6 +39,17 @@ struct PipelineRatios
     maxRatio() const;
 };
 
+/** Bits of AicoreTimeline::activePipes(), one per PipelineRatios pipe. */
+enum PipeBit : unsigned
+{
+    kPipeCube = 1u << 0,
+    kPipeVector = 1u << 1,
+    kPipeScalar = 1u << 2,
+    kPipeMte1 = 1u << 3,
+    kPipeMte2 = 1u << 4,
+    kPipeMte3 = 1u << 5,
+};
+
 /** Per-scenario timeline evaluation for one operator. */
 class AicoreTimeline
 {
@@ -63,6 +74,13 @@ class AicoreTimeline
 
     /** Ground-truth PMU pipeline ratios at @p f_mhz. */
     PipelineRatios ratios(double f_mhz) const;
+
+    /**
+     * PipeBit mask of the pipes whose ratios(f) is > 0.  Frequency
+     * independent: a pipe is busy iff it has work at all (an Ld/St
+     * floor, or core cycles on the op's core pipe).
+     */
+    unsigned activePipes() const;
 
     /** Cycles of one Ld transfer at @p f_mhz, incl. T0 (Eq. 4). */
     double ldCycles(double f_mhz) const;

@@ -53,6 +53,17 @@ rejectReasonToken(RejectReason reason)
     return "unknown";
 }
 
+bool
+refineImproves(const dvfs::StageEvaluator &evaluator,
+               const std::vector<std::uint8_t> &refined_genome,
+               double predicted_score, double perf_loss_target)
+{
+    double per_lb = dvfs::perfLowerBound(evaluator.evaluateBaseline(),
+                                         perf_loss_target);
+    return dvfs::strategyScore(evaluator.evaluate(refined_genome), per_lb)
+        > predicted_score;
+}
+
 StrategyService::StrategyService(ServiceOptions options)
     : options_(std::move(options)),
       cache_(options_.cache),
@@ -488,16 +499,7 @@ StrategyService::computeFresh(const StrategyRequest &request,
     response.fingerprint = fingerprint;
     response.provenance = Provenance::Cold;
 
-    dvfs::PipelineOptions pipeline_options = options_.pipeline;
-    pipeline_options.seed = request.seed;
-    pipeline_options.perf_loss_target = request.perf_loss_target;
-    if (options_.parallel_fitness) {
-        pipeline_options.ga.parallel_for =
-            [this](std::size_t count,
-                   const std::function<void(std::size_t)> &fn) {
-                pool_.parallelFor(count, fn);
-            };
-    }
+    dvfs::PipelineOptions pipeline_options = requestPipeline(request);
 
     int full_generations = pipeline_options.ga.generations;
     if (request.use_cache && request.allow_warm_start) {
@@ -560,12 +562,17 @@ StrategyService::computeFresh(const StrategyRequest &request,
         ga_runs_past_deadline_.fetch_add(1, std::memory_order_relaxed);
     }
 
+    // The answer needs the models and the search, not optimize()'s
+    // measured run of the plan.
     dvfs::EnergyPipeline pipeline(pipeline_options);
-    dvfs::PipelineResult result = pipeline.optimize(request.workload);
+    dvfs::PreparedWorkload prepared = pipeline.prepare(request.workload);
+    dvfs::SearchResult found = pipeline.search(prepared);
     double search_seconds = elapsedSeconds(search_started);
 
-    response.strategy = result.strategy();
-    response.ga = std::move(result.ga);
+    response.strategy.stages = prepared.prep.stages;
+    response.strategy.mhz_per_stage = found.ga.best_mhz;
+    response.strategy.plan = std::move(found.plan);
+    response.ga = std::move(found.ga);
     response.generations_run = pipeline_options.ga.generations;
     response.generations_saved =
         full_generations - pipeline_options.ga.generations;
@@ -588,8 +595,24 @@ StrategyService::computeFresh(const StrategyRequest &request,
         recordColdLatency(search_seconds);
     }
     // Every finished full search is a free training example.
-    observeSearch(request, result.prep, response.ga.best_mhz);
+    observeSearch(request, prepared.prep, response.ga.best_mhz);
     return response;
+}
+
+dvfs::PipelineOptions
+StrategyService::requestPipeline(const StrategyRequest &request)
+{
+    dvfs::PipelineOptions pipeline_options = options_.pipeline;
+    pipeline_options.seed = request.seed;
+    pipeline_options.perf_loss_target = request.perf_loss_target;
+    if (options_.parallel_fitness) {
+        pipeline_options.ga.parallel_for =
+            [this](std::size_t count,
+                   const std::function<void(std::size_t)> &fn) {
+                pool_.parallelFor(count, fn);
+            };
+    }
+    return pipeline_options;
 }
 
 bool
@@ -618,19 +641,12 @@ StrategyService::computePredicted(
     std::shared_ptr<const dvfs::PreparedWorkload> &prepared,
     tune::PredictedStrategy &predicted)
 {
-    dvfs::PipelineOptions pipeline_options = options_.pipeline;
-    pipeline_options.seed = request.seed;
-    pipeline_options.perf_loss_target = request.perf_loss_target;
-
-    dvfs::EnergyPipeline pipeline(pipeline_options);
+    dvfs::EnergyPipeline pipeline(requestPipeline(request));
     auto owned = std::make_shared<dvfs::PreparedWorkload>(
         pipeline.prepare(request.workload));
 
-    npu::FreqTable table(options_.pipeline.chip.freq);
-    power::PowerModel power_model(owned->constants, table);
-    dvfs::StageEvaluator evaluator(owned->prep.stages,
-                                   owned->perf_models, power_model,
-                                   owned->op_power, table);
+    dvfs::StageEvaluator evaluator =
+        owned->evaluator(npu::FreqTable(options_.pipeline.chip.freq));
 
     std::vector<tune::StageSample> rows = tune::extractStageRows(
         request.workload, options_.pipeline.chip,
@@ -712,39 +728,27 @@ StrategyService::runRefine(const StrategyRequest &request,
                            const dvfs::PreparedWorkload &prepared,
                            const tune::PredictedStrategy &predicted)
 {
-    npu::FreqTable table(options_.pipeline.chip.freq);
-    power::PowerModel power_model(prepared.constants, table);
-    dvfs::StageEvaluator evaluator(prepared.prep.stages,
-                                   prepared.perf_models, power_model,
-                                   prepared.op_power, table);
+    dvfs::StageEvaluator evaluator =
+        prepared.evaluator(npu::FreqTable(options_.pipeline.chip.freq));
     tune::IncrementalFitness fitness(evaluator);
 
-    dvfs::GaOptions ga_options = options_.pipeline.ga;
-    ga_options.perf_loss_target = request.perf_loss_target;
-    // Same seed derivation as the pipeline, so a refined result is
+    // The pipeline derives the GA seed, so a refined result is
     // comparable to what a cold search would have produced.
-    ga_options.seed = options_.pipeline.ga_seed
-                          ? *options_.pipeline.ga_seed
-                          : request.seed * 7 + 13;
-    ga_options.prior_individuals.push_back(predicted.mhz);
-    ga_options.generations = std::max(
+    dvfs::PipelineOptions pipeline_options = requestPipeline(request);
+    pipeline_options.ga.prior_individuals.push_back(predicted.mhz);
+    pipeline_options.ga.generations = std::max(
         1, static_cast<int>(
                std::lround(options_.pipeline.ga.generations
                            * options_.refine_generation_fraction)));
-    ga_options.fitness_backend = &fitness;
-    if (options_.parallel_fitness) {
-        ga_options.parallel_for =
-            [this](std::size_t count,
-                   const std::function<void(std::size_t)> &fn) {
-                pool_.parallelFor(count, fn);
-            };
-    }
-    dvfs::GaResult ga =
-        dvfs::searchStrategy(evaluator, prepared.prep.stages, ga_options);
+    pipeline_options.ga.fitness_backend = &fitness;
+    dvfs::SearchResult found =
+        dvfs::EnergyPipeline(pipeline_options).search(prepared, evaluator);
+    dvfs::GaResult &ga = found.ga;
 
     observeSearch(request, prepared.prep, ga.best_mhz);
 
-    if (!(ga.best_score > predicted.score)) {
+    if (!refineImproves(evaluator, ga.best_genome, predicted.score,
+                        request.perf_loss_target)) {
         // The prediction already matches (or beats) the search: keep
         // serving it.  Its score was validated by a real evaluation,
         // so this is a genuine tie, not an unverified claim.
@@ -756,14 +760,12 @@ StrategyService::runRefine(const StrategyRequest &request,
     entry.fingerprint = fingerprint;
     entry.strategy.stages = prepared.prep.stages;
     entry.strategy.mhz_per_stage = ga.best_mhz;
-    entry.strategy.plan = dvfs::planExecution(
-        prepared.prep.stages, ga.best_mhz, prepared.baseline.records,
-        options_.pipeline.executor);
+    entry.strategy.plan = std::move(found.plan);
     dvfs::StrategyMeta meta;
     meta.score = ga.best_score;
     meta.pre_refine_score = ga.pre_refine_score;
     meta.converged_at = ga.converged_at;
-    meta.generations = ga_options.generations;
+    meta.generations = pipeline_options.ga.generations;
     meta.provenance = "refined";
     meta.fingerprint = fingerprint.digest;
     entry.strategy.meta = meta;

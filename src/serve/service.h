@@ -99,6 +99,18 @@ enum class RejectReason : std::uint8_t
 const char *rejectReasonToken(RejectReason reason);
 
 /**
+ * Whether an asynchronous refinement replaces a served prediction:
+ * the search's best genome, re-scored by @p evaluator exactly as the
+ * prediction was, must score above @p predicted_score.  The search's
+ * own score comes from its fitness backend, whose sums may differ from
+ * the evaluator's in the last ulp, so comparing it directly would let
+ * rounding decide the upgrade.
+ */
+bool refineImproves(const dvfs::StageEvaluator &evaluator,
+                    const std::vector<std::uint8_t> &refined_genome,
+                    double predicted_score, double perf_loss_target);
+
+/**
  * Thrown through the completion path (future or CompletionFn error
  * slot) when an admitted request's deadline expired before any search
  * ran: the caller has already given up, so no GA budget is spent and
@@ -158,7 +170,8 @@ struct ServiceOptions
     double warm_similarity = 0.90;
     /** Fraction of the full generation budget a warm-started GA runs. */
     double warm_generation_fraction = 1.0 / 3.0;
-    /** Score GA populations on the pool (off: serial fitness). */
+    /** Score GA populations and run a cold miss's profiling runs on
+     *  the pool (off: both serial). */
     bool parallel_fitness = true;
     /**
      * Optional cross-shard donor lookup, consulted only when a cold
@@ -529,6 +542,10 @@ class StrategyService
                  const Fingerprint &fingerprint,
                  std::chrono::steady_clock::time_point expires_at,
                  const CacheEntry *stale_donor = nullptr);
+    /** The service's pipeline options for @p request: its seed and
+     *  loss target, plus the pool's parallel loop when
+     *  `parallel_fitness`. */
+    dvfs::PipelineOptions requestPipeline(const StrategyRequest &request);
     /** True when this request should try the surrogate first. */
     bool predictEligible(const StrategyRequest &request,
                          const CacheEntry *stale_donor) const;

@@ -17,8 +17,13 @@ Profiler::Profiler(npu::NpuChip &chip, ProfilerNoise noise,
 void
 Profiler::registerSequence(const ops::OpSequence &sequence)
 {
-    for (const auto &op : sequence)
-        metadata_[op.id] = &op;
+    for (const auto &op : sequence) {
+        if (op.id >= metadata_.size())
+            metadata_.resize(op.id + 1);
+        npu::AicoreTimeline timeline(op.hw, chip_.memorySystem());
+        metadata_[op.id] = OpMeta{&op, timeline.activePipes()};
+    }
+    records_.reserve(records_.size() + sequence.size());
 }
 
 void
@@ -30,10 +35,17 @@ void
 Profiler::opFinished(std::uint64_t op_id, Tick start, Tick end,
                      double f_mhz_at_end)
 {
-    auto it = metadata_.find(op_id);
-    if (it == metadata_.end())
+    if (op_id >= metadata_.size() || !metadata_[op_id].op)
         return; // Unregistered helper op (e.g. a cool-down idle tail).
-    const ops::Op &op = *it->second;
+    const ops::Op &op = *metadata_[op_id].op;
+    const unsigned busy = metadata_[op_id].busy_pipes;
+
+    if (!recording_) {
+        rng_.noiseFactor(noise_.duration_sigma);
+        for (unsigned pipes = busy; pipes != 0; pipes &= pipes - 1)
+            rng_.gaussian(0.0, noise_.ratio_sigma);
+        return;
+    }
 
     OpRecord record;
     record.op_id = op_id;
@@ -45,21 +57,21 @@ Profiler::opFinished(std::uint64_t op_id, Tick start, Tick end,
     record.duration_s = ticksToSeconds(end - start)
         * rng_.noiseFactor(noise_.duration_sigma);
 
-    if (op.hw.category == npu::OpCategory::Compute) {
+    if (busy != 0) {
         npu::AicoreTimeline timeline(op.hw, chip_.memorySystem());
         npu::PipelineRatios truth = timeline.ratios(f_mhz_at_end);
-        auto jitter = [this](double r) {
-            if (r <= 0.0)
+        auto jitter = [this, busy](npu::PipeBit pipe, double r) {
+            if (!(busy & pipe))
                 return 0.0;
             return std::clamp(r + rng_.gaussian(0.0, noise_.ratio_sigma),
                               0.0, 1.0);
         };
-        record.ratios.cube = jitter(truth.cube);
-        record.ratios.vector = jitter(truth.vector);
-        record.ratios.scalar = jitter(truth.scalar);
-        record.ratios.mte1 = jitter(truth.mte1);
-        record.ratios.mte2 = jitter(truth.mte2);
-        record.ratios.mte3 = jitter(truth.mte3);
+        record.ratios.cube = jitter(npu::kPipeCube, truth.cube);
+        record.ratios.vector = jitter(npu::kPipeVector, truth.vector);
+        record.ratios.scalar = jitter(npu::kPipeScalar, truth.scalar);
+        record.ratios.mte1 = jitter(npu::kPipeMte1, truth.mte1);
+        record.ratios.mte2 = jitter(npu::kPipeMte2, truth.mte2);
+        record.ratios.mte3 = jitter(npu::kPipeMte3, truth.mte3);
     }
 
     records_.push_back(std::move(record));

@@ -13,7 +13,7 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -48,14 +48,31 @@ struct ProfilerNoise
     double ratio_sigma = 0.015;
 };
 
-/** Observes a chip and accumulates operator records. */
+/**
+ * Observes a chip and accumulates operator records.
+ *
+ * Every retirement of a registered operator makes the same noise
+ * draws — one duration factor plus one ratio deviate per busy pipe —
+ * whether or not it is recorded, so pausing recording (warm-up) never
+ * shifts the noise of the iterations that are recorded.
+ */
 class Profiler : public npu::NpuChip::OpObserver
 {
   public:
     Profiler(npu::NpuChip &chip, ProfilerNoise noise, std::uint64_t seed);
 
-    /** Register the metadata of the ops about to run. */
+    /**
+     * Register the metadata of the ops about to run.  Op ids are
+     * sequence indices (dense from 0); ids outside every registered
+     * sequence are ignored at retirement.
+     */
     void registerSequence(const ops::OpSequence &sequence);
+
+    /**
+     * Turn record keeping on or off (on by default).  While off,
+     * retirements only advance the noise stream: no record is built.
+     */
+    void setRecording(bool on) { recording_ = on; }
 
     void opStarted(std::uint64_t op_id, Tick start) override;
     void opFinished(std::uint64_t op_id, Tick start, Tick end,
@@ -64,14 +81,26 @@ class Profiler : public npu::NpuChip::OpObserver
     /** All records so far, in completion order. */
     const std::vector<OpRecord> &records() const { return records_; }
 
-    /** Drop accumulated records (e.g. after warm-up). */
+    /** Move the records out, leaving none behind. */
+    std::vector<OpRecord> takeRecords() { return std::exchange(records_, {}); }
+
+    /** Drop accumulated records (e.g. between measured iterations). */
     void clear() { records_.clear(); }
 
   private:
+    /** Registered operator plus its npu::PipeBit mask of busy pipes. */
+    struct OpMeta
+    {
+        const ops::Op *op = nullptr;
+        unsigned busy_pipes = 0;
+    };
+
     npu::NpuChip &chip_;
     ProfilerNoise noise_;
     Rng rng_;
-    std::unordered_map<std::uint64_t, const ops::Op *> metadata_;
+    bool recording_ = true;
+    /** Indexed by op id. */
+    std::vector<OpMeta> metadata_;
     std::vector<OpRecord> records_;
 };
 

@@ -60,14 +60,16 @@ WorkloadRunner::run(const models::Workload &workload,
     PowerSampler sampler(chip, options.sample_period, options.sampler_noise,
                          options.seed * 104729 + 2);
 
-    // Warm-up repetitions until thermal steady state.
+    // Warm-up repetitions until thermal steady state; their operator
+    // records would be discarded, so none are built.
+    profiler.setRecording(false);
     while (ticksToSeconds(simulator.now()) < options.warmup_seconds) {
         enqueueIteration(chip, workload, trigger_map);
         simulator.run();
     }
 
     // Measured iteration.
-    profiler.clear();
+    profiler.setRecording(true);
     chip.resetEnergy();
     std::uint64_t set_freq_before = chip.dvfs().setFreqCount();
     sampler.start(/*stop_when_idle=*/true);
@@ -77,7 +79,7 @@ WorkloadRunner::run(const models::Workload &workload,
 
     RunResult result;
     result.set_freq_count = chip.dvfs().setFreqCount() - set_freq_before;
-    result.records = profiler.records();
+    result.records = profiler.takeRecords();
     // Read the snapshot taken when the last operator retired, so any
     // telemetry events trailing past the iteration don't dilute the
     // averages with idle time.

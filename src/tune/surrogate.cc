@@ -291,8 +291,7 @@ predictStrategy(const Surrogate &surrogate,
     }
 
     out.baseline_eval = evaluator.evaluateBaseline();
-    double per_baseline = 1e-6 / out.baseline_eval.seconds;
-    double per_lb = per_baseline * (1.0 - perf_loss_target);
+    double per_lb = dvfs::perfLowerBound(out.baseline_eval, perf_loss_target);
 
     out.eval = evaluator.evaluate(out.genome);
     // Feasibility repair: raise the gene saving the most time per

@@ -83,9 +83,10 @@ TEST(Rng, WeightedIndexFollowsWeights)
 {
     Rng rng(19);
     std::vector<double> weights = {1.0, 0.0, 3.0};
+    WeightedSampler sampler(weights);
     std::vector<int> counts(3, 0);
     for (int i = 0; i < 8000; ++i)
-        counts[rng.weightedIndex(weights)]++;
+        counts[sampler.draw(rng)]++;
     EXPECT_EQ(counts[1], 0);
     EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.5);
 }
@@ -93,12 +94,65 @@ TEST(Rng, WeightedIndexFollowsWeights)
 TEST(Rng, WeightedIndexAllZeroFallsBackToUniform)
 {
     Rng rng(23);
-    std::vector<double> weights = {0.0, 0.0, 0.0, 0.0};
+    WeightedSampler sampler({0.0, 0.0, 0.0, 0.0});
     std::vector<int> counts(4, 0);
     for (int i = 0; i < 4000; ++i)
-        counts[rng.weightedIndex(weights)]++;
+        counts[sampler.draw(rng)]++;
     for (int c : counts)
         EXPECT_GT(c, 600);
+}
+
+/** The linear cumulative scan WeightedSampler must reproduce. */
+std::size_t
+linearWeightedIndex(Rng &rng, const std::vector<double> &weights)
+{
+    double total = 0.0;
+    for (double w : weights)
+        total += w;
+    if (total <= 0.0)
+        return rng.index(weights.size());
+    double r = rng.uniform(0.0, total);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        acc += weights[i];
+        if (r < acc)
+            return i;
+    }
+    return weights.size() - 1;
+}
+
+TEST(Rng, WeightedSamplerReplaysTheLinearScan)
+{
+    Rng gen(37);
+    for (int trial = 0; trial < 400; ++trial) {
+        std::size_t n = gen.index(40) + 1;
+        std::vector<double> weights(n);
+        int shape = trial % 4;
+        for (double &w : weights) {
+            if (shape == 0)
+                w = 0.0; // all zero: uniform fallback
+            else if (shape == 1 && gen.chance(0.5))
+                w = 0.0; // sparse, zero runs
+            else if (shape == 2)
+                w = gen.uniform(0.0, 1.0) * 1e-16; // GA score scale
+            else
+                w = gen.uniform(0.0, 10.0);
+        }
+        // Exact repeats force ties between adjacent prefix sums.
+        if (n > 2 && shape == 3)
+            weights[n / 2] = 0.0;
+
+        std::uint64_t seed = 1000 + static_cast<std::uint64_t>(trial);
+        Rng fast(seed);
+        Rng slow(seed);
+        WeightedSampler sampler(weights);
+        for (int draw = 0; draw < 64; ++draw) {
+            ASSERT_EQ(sampler.draw(fast), linearWeightedIndex(slow, weights))
+                << "trial " << trial << " draw " << draw;
+        }
+        // Same RNG consumption: both streams continue identically.
+        EXPECT_EQ(fast.engine()(), slow.engine()()) << "trial " << trial;
+    }
 }
 
 TEST(Rng, ChanceExtremes)

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <sstream>
 #include <thread>
@@ -428,16 +429,30 @@ TEST(StrategyService, ResponseStrategyRoundTripsWithMeta)
     EXPECT_EQ(loaded.mhz_per_stage, response.strategy.mhz_per_stage);
 }
 
+/** Queue two slow cold searches on a one-worker service, together
+ *  well over a 50 ms budget. */
+std::vector<Admission>
+occupyWorker(StrategyService &service)
+{
+    std::vector<Admission> occupiers;
+    for (std::uint64_t seed : {1, 2}) {
+        StrategyRequest occupier;
+        occupier.workload = testWorkload(512);
+        occupier.use_cache = false;
+        occupier.seed = seed;
+        occupiers.push_back(service.trySubmit(occupier));
+        EXPECT_TRUE(occupiers.back().accepted());
+    }
+    return occupiers;
+}
+
 TEST(StrategyService, QueuedRequestPastItsDeadlineIsRefused)
 {
     StrategyService service(fastOptions(1));
 
-    // Hold the single worker with a slow cold search.
-    StrategyRequest occupier;
-    occupier.workload = testWorkload(512);
-    occupier.use_cache = false;
-    Admission admitted = service.trySubmit(occupier);
-    ASSERT_TRUE(admitted.accepted());
+    // Hold the single worker with two queued cold searches (one no
+    // longer outlasts the budget below on a fast machine).
+    std::vector<Admission> occupiers = occupyWorker(service);
 
     // A 50 ms budget expires long before the worker frees: the
     // service must refuse the search rather than burn a GA run the
@@ -447,7 +462,8 @@ TEST(StrategyService, QueuedRequestPastItsDeadlineIsRefused)
     doomed.deadline_seconds = 0.05;
     std::future<StrategyResponse> future = service.submit(doomed);
     EXPECT_THROW(future.get(), RequestExpired);
-    admitted.future->get();
+    for (Admission &admitted : occupiers)
+        admitted.future->get();
 
     ServiceStats stats = service.stats();
     EXPECT_EQ(stats.expired_in_queue, 1u);
@@ -462,11 +478,7 @@ TEST(StrategyService, EnforcementOffRunsExpiredWorkAndCountsIt)
     options.enforce_deadlines = false;
     StrategyService service(options);
 
-    StrategyRequest occupier;
-    occupier.workload = testWorkload(512);
-    occupier.use_cache = false;
-    Admission admitted = service.trySubmit(occupier);
-    ASSERT_TRUE(admitted.accepted());
+    std::vector<Admission> occupiers = occupyWorker(service);
 
     StrategyRequest doomed;
     doomed.workload = testWorkload(256);
@@ -474,7 +486,8 @@ TEST(StrategyService, EnforcementOffRunsExpiredWorkAndCountsIt)
     doomed.use_cache = false;
     StrategyResponse served = service.submit(doomed).get();
     EXPECT_EQ(served.provenance, Provenance::Cold);
-    admitted.future->get();
+    for (Admission &admitted : occupiers)
+        admitted.future->get();
 
     ServiceStats stats = service.stats();
     EXPECT_EQ(stats.expired_in_queue, 0u);
@@ -804,6 +817,43 @@ TEST(StrategyService, PredictFirstRespectsColdQualityRequests)
     EXPECT_EQ(response.provenance, Provenance::Cold);
     EXPECT_EQ(response.generations_run, 24);
     EXPECT_EQ(service.stats().predicted_served, 0u);
+}
+
+TEST(StrategyService, RefineReturningThePredictedGenomeIsDiscarded)
+{
+    dvfs::PipelineOptions pipeline_options = fastOptions(1).pipeline;
+    pipeline_options.seed = 9;
+    dvfs::EnergyPipeline pipeline(pipeline_options);
+    dvfs::PreparedWorkload prepared =
+        pipeline.prepare(testWorkload(256));
+    dvfs::StageEvaluator evaluator =
+        prepared.evaluator(npu::FreqTable(pipeline_options.chip.freq));
+    const double target = pipeline_options.perf_loss_target;
+    double per_lb =
+        dvfs::perfLowerBound(evaluator.evaluateBaseline(), target);
+
+    // The served prediction: the search's own winner, scored by the
+    // serial evaluator as predictStrategy scores.
+    dvfs::GaResult refined = pipeline.search(prepared, evaluator).ga;
+    double predicted_score =
+        dvfs::strategyScore(evaluator.evaluate(refined.best_genome), per_lb);
+
+    // A refinement that lands on the predicted genome is a tie however
+    // its fitness backend rounded the score: the prediction stays.
+    refined.best_score = std::nextafter(predicted_score, 1.0);
+    ASSERT_GT(refined.best_score, predicted_score);
+    EXPECT_FALSE(refineImproves(evaluator, refined.best_genome,
+                                predicted_score, target));
+
+    // A genuinely better genome still upgrades a weaker prediction.
+    std::vector<std::uint8_t> all_max(evaluator.stageCount(),
+                                      static_cast<std::uint8_t>(
+                                          evaluator.freqCount() - 1));
+    double baseline_score =
+        dvfs::strategyScore(evaluator.evaluate(all_max), per_lb);
+    ASSERT_GT(predicted_score, baseline_score);
+    EXPECT_TRUE(refineImproves(evaluator, refined.best_genome,
+                               baseline_score, target));
 }
 
 TEST(StrategyService, DrainWaitsOutScheduledRefinements)
